@@ -103,7 +103,7 @@ func WithCheckpoint(dir string, everyKRounds int) Option {
 
 // WithDigests enables deterministic-replay verification for the
 // session: the engine folds every round's delivered traffic into a
-// chained FNV-1a digest (see engine.Options.RecordDigests) and the
+// chained replay digest (see engine.Options.RecordDigests) and the
 // session accumulates the chain across passes, exposed via Digests and
 // carried through checkpoints. Two runs of the same kernel are
 // bit-identical exactly when their digest sequences match.

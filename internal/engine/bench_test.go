@@ -18,11 +18,13 @@ func BenchmarkRouter(b *testing.B) {
 		fanout = 16
 	)
 	rt := newRouter(n, 1, shards, core.DefaultBudget(n))
+	c := rt.newCtx(0)
 	round := func() {
 		for src := 0; src < n; src++ {
+			c.bind(core.NodeID(src))
 			for k := 1; k <= fanout; k++ {
 				dst := core.NodeID((src + k) % n)
-				if err := rt.send(0, core.NodeID(src), dst, uint64(src)); err != nil {
+				if err := rt.send(&c, dst, uint64(src)); err != nil {
 					b.Fatal(err)
 				}
 			}

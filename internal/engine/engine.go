@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/trace"
@@ -38,6 +39,11 @@ import (
 // previous round; messages sent via ctx are delivered at the start of
 // the next round. A handler runs on a single goroutine but concurrently
 // with other nodes' handlers, so it must not touch other nodes' state.
+//
+// Every inbox is ordered by ascending source ID, and the words one
+// source sent keep their send order, on every transport and at every
+// worker count. Handlers may rely on it: a sorted walk over senders
+// needs no search (see matmul's mulNode).
 type Node interface {
 	Round(ctx *Ctx, r core.Round, inbox []Message) error
 }
@@ -69,13 +75,14 @@ type Options struct {
 	// recovered and surfaced as the run's error (ErrRoundHookPanic).
 	RoundHook func(RoundStats)
 	// RecordDigests enables deterministic-replay verification: after
-	// every round the engine folds the freshly scattered inbox bank —
+	// every round the worker pool hashes the delivered inbox bank —
 	// every (destination, source, payload) triple in the router's
-	// deterministic delivery order — into a chained per-round FNV-1a
-	// digest, exposed via RoundStats.Digest and carried by Snapshot.
-	// Two runs are bit-identical exactly when their digest sequences
-	// match. Off by default: the round loop then pays a single branch
-	// and never touches the delivered messages.
+	// deterministic delivery order — and the engine chains the hashes
+	// into a per-round digest (defined in digest.go), exposed via
+	// RoundStats.Digest and carried by Snapshot. Two runs are
+	// bit-identical exactly when their digest sequences match. Off by
+	// default: the round loop then pays a single branch and never
+	// touches the delivered messages.
 	RecordDigests bool
 	// Trace, when non-nil, receives per-round spans — one whole-round
 	// envelope plus the compute/scatter/exchange phase breakdown — into
@@ -168,9 +175,9 @@ type RoundStats struct {
 	// most workers finish their node range early and wait for the
 	// slowest. Measured only when Options.Trace is set, 0 otherwise.
 	BarrierWait time.Duration
-	// Digest is the chained FNV-1a replay digest of the round's
-	// delivered traffic when Options.RecordDigests is set, 0 otherwise.
-	// See Options.RecordDigests for the exact bytes folded.
+	// Digest is the chained replay digest of the round's delivered
+	// traffic when Options.RecordDigests is set, 0 otherwise. See
+	// digest.go for its definition.
 	Digest uint64
 }
 
@@ -187,18 +194,34 @@ type Stats struct {
 // per worker; the engine rebinds it to each node before invoking its
 // handler, so handlers must not retain it across rounds.
 type Ctx struct {
-	rt   *router
-	w    int
-	src  core.NodeID
-	sent uint64
-	n    int
+	rt *router
+	// out is this worker's row of the router's out-slabs, one per shard.
+	out [][]outMsg
+	// links[dst] counts this binding's messages to dst; a stamp from an
+	// older epoch reads as zero.
+	links []linkStamp
+	src   core.NodeID
+	epoch uint32
+	sent  uint64
+}
+
+// bind points the Ctx at node src and starts a fresh link-accounting
+// epoch. On the rare epoch wrap the stamps are cleared, so an old stamp
+// can never pass for a current one.
+func (c *Ctx) bind(src core.NodeID) {
+	c.src = src
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.links)
+		c.epoch = 1
+	}
 }
 
 // ID returns the node the context is currently bound to.
 func (c *Ctx) ID() core.NodeID { return c.src }
 
 // NumNodes returns the clique size n.
-func (c *Ctx) NumNodes() int { return c.n }
+func (c *Ctx) NumNodes() int { return c.rt.n }
 
 // LinkMsgCap returns the enforced whole-message capacity of one
 // directed link in one round — Options.Budget.MsgsPerLink() after the
@@ -211,19 +234,39 @@ func (c *Ctx) LinkMsgCap() int { return c.rt.linkCap }
 // exhausted, or an error for an invalid destination (out of range or
 // self). The message is not queued when an error is returned.
 func (c *Ctx) Send(dst core.NodeID, payload uint64) error {
-	if err := c.rt.send(c.w, c.src, dst, payload); err != nil {
+	if err := c.rt.send(c, dst, payload); err != nil {
 		return err
 	}
 	c.sent++
 	return nil
 }
 
-// workerCmd sequences the two parallel phases of a round.
+// worker is one scheduler worker's state: its Ctx, written on every
+// send, and the phase-A error and finish stamp the run loop reads after
+// the barrier. The pool keeps these in one slice, each padded to a
+// multiple of cacheLinePair bytes so that workers never write to a
+// shared cache line (TestWorkerStatePadding pins the size).
+type worker struct {
+	ctx    Ctx
+	err    error
+	doneAt time.Time
+	_      [workerPad]byte
+}
+
+// workerPad rounds worker up to a multiple of cacheLinePair bytes.
+const workerPad = (cacheLinePair - workerUsed%cacheLinePair) % cacheLinePair
+
+// workerUsed is the unpadded size of worker.
+const workerUsed = unsafe.Sizeof(Ctx{}) + unsafe.Sizeof(error(nil)) + unsafe.Sizeof(time.Time{})
+
+// workerCmd sequences the parallel phases of a round: the handlers,
+// the in-process scatter, and (with RecordDigests) the inbox hashing.
 type workerCmd uint8
 
 const (
 	cmdRunNodes workerCmd = iota
 	cmdScatter
+	cmdDigest
 )
 
 // Engine runs node sets under the Congested Clique round model. It is
@@ -236,9 +279,8 @@ type Engine struct {
 	opts    Options
 	workers int
 	rt      *router
-	ctxs    []*Ctx
+	pool    []worker
 	lo, hi  []int // node ranges per worker
-	errs    []error
 	nodes   []Node
 	round   core.Round
 
@@ -254,19 +296,19 @@ type Engine struct {
 	started bool
 	closed  bool
 
-	// Phase-timing scratch. doneAt[w] is worker w's phase-A finish
-	// stamp, written by the worker and read by the run loop strictly
-	// after the barrier — no lock needed. scatterAt/scatterDur time the
-	// in-process parallel scatter, written inside the transport's
-	// Exchange (via Binding.ParallelScatter) and read after it returns.
-	doneAt     []time.Time
+	// scatterAt/scatterDur time the in-process parallel scatter,
+	// written inside the transport's Exchange (via
+	// Binding.ParallelScatter) and read after it returns.
 	scatterAt  time.Time
 	scatterDur time.Duration
 
 	// Replay-digest chain of the current run (RecordDigests only):
 	// digests[r] summarizes rounds 0..r, lastDigest is the chain head.
+	// boxDigests[d] is destination d's inbox hash of the current round,
+	// written by the worker whose shard holds d (see digest.go).
 	digests    []uint64
 	lastDigest uint64
+	boxDigests []uint64
 	// Restore state armed by RestoreSnapshot and consumed by the next
 	// RunBounded, which then continues from e.round instead of
 	// rewinding to round 0.
@@ -318,12 +360,10 @@ func New(n int, opts Options) (*Engine, error) {
 		opts:      opts,
 		workers:   w,
 		rt:        newRouter(n, w, w, opts.Budget),
-		ctxs:      make([]*Ctx, w),
+		pool:      make([]worker, w),
 		lo:        make([]int, w),
 		hi:        make([]int, w),
-		errs:      make([]error, w),
 		cmds:      make([]chan workerCmd, w),
-		doneAt:    make([]time.Time, w),
 		transport: tr,
 		partLo:    partLo,
 		partHi:    partHi,
@@ -336,7 +376,10 @@ func New(n int, opts Options) (*Engine, error) {
 		local := partHi - partLo
 		e.lo[i] = partLo + (i*local+w-1)/w
 		e.hi[i] = partLo + ((i+1)*local+w-1)/w
-		e.ctxs[i] = &Ctx{rt: e.rt, w: i, n: n}
+		e.pool[i].ctx = e.rt.newCtx(i)
+	}
+	if opts.RecordDigests {
+		e.boxDigests = make([]uint64, n)
 	}
 	e.binding = &Binding{e: e}
 	if err := tr.Bind(e.binding); err != nil {
@@ -377,10 +420,12 @@ func (e *Engine) start() {
 					// loop can compute this worker's idle time at the
 					// barrier. Gated on tracing — one nil check.
 					if e.opts.Trace != nil {
-						e.doneAt[w] = time.Now()
+						e.pool[w].doneAt = time.Now()
 					}
 				case cmdScatter:
 					e.rt.scatterShard(w)
+				case cmdDigest:
+					e.digestShard(w)
 				}
 				e.barrier.Done()
 			}
@@ -412,12 +457,17 @@ func (e *Engine) Close() {
 // scattered by worker s. Exposed to transports via Binding.
 func (e *Engine) parallelScatter() {
 	e.scatterAt = time.Now()
+	e.runPhase(cmdScatter)
+	e.scatterDur = time.Since(e.scatterAt)
+}
+
+// runPhase hands cmd to every worker and waits until all have done it.
+func (e *Engine) runPhase(cmd workerCmd) {
 	e.barrier.Add(e.workers)
 	for _, ch := range e.cmds {
-		ch <- cmdScatter
+		ch <- cmd
 	}
 	e.barrier.Wait()
-	e.scatterDur = time.Since(e.scatterAt)
 }
 
 // runNodes executes phase A for worker w: invoke every owned node's
@@ -426,24 +476,25 @@ func (e *Engine) parallelScatter() {
 // *HandlerPanicError run error, so a panicking kernel can never wedge
 // the pool mid-barrier.
 func (e *Engine) runNodes(w int) {
-	ctx := e.ctxs[w]
+	wk := &e.pool[w]
+	ctx := &wk.ctx
 	r := e.round
 	defer func() {
 		if p := recover(); p != nil {
-			e.errs[w] = &HandlerPanicError{Node: ctx.src, Round: r, Value: p}
+			wk.err = &HandlerPanicError{Node: ctx.src, Round: r, Value: p}
 		}
 	}()
 	hooks := testHooks
 	for id := e.lo[w]; id < e.hi[w]; id++ {
-		ctx.src = core.NodeID(id)
+		ctx.bind(core.NodeID(id))
 		if hooks != nil && hooks.NodeError != nil {
 			if err := hooks.NodeError(core.NodeID(id), r); err != nil {
-				e.errs[w] = fmt.Errorf("node %d round %d: %w", id, r, err)
+				wk.err = fmt.Errorf("node %d round %d: %w", id, r, err)
 				return
 			}
 		}
 		if err := e.nodes[id].Round(ctx, r, e.rt.inbox[id]); err != nil {
-			e.errs[w] = fmt.Errorf("node %d round %d: %w", id, r, err)
+			wk.err = fmt.Errorf("node %d round %d: %w", id, r, err)
 			return
 		}
 	}
@@ -459,25 +510,6 @@ func (e *Engine) callRoundHook(rs RoundStats) (err error) {
 	}()
 	e.opts.RoundHook(rs)
 	return nil
-}
-
-// foldInboxDigest chains the freshly scattered inbox bank into the
-// replay digest: for every destination in ID order, the destination,
-// its message count, and each (source, payload) pair in the router's
-// deterministic delivery order. Allocation-free; called once per round
-// and only when RecordDigests is set.
-func (e *Engine) foldInboxDigest() uint64 {
-	h := e.lastDigest
-	for d := 0; d < e.n; d++ {
-		box := e.rt.inbox[d]
-		h = fnv1aWord(h, uint64(d))
-		h = fnv1aWord(h, uint64(len(box)))
-		for i := range box {
-			h = fnv1aWord(h, uint64(box[i].Src))
-			h = fnv1aWord(h, box[i].Payload)
-		}
-	}
-	return h
 }
 
 // Run executes one node set from round 0 until quiescence (a round in
@@ -545,8 +577,8 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		// retained, so reuse stays allocation-free in steady state.
 		e.round = 0
 		e.rt.reset()
-		for _, c := range e.ctxs {
-			c.sent = 0
+		for i := range e.pool {
+			e.pool[i].ctx.sent = 0
 		}
 		e.digests = e.digests[:0]
 		e.lastDigest = digestSeed
@@ -558,8 +590,8 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		Wall:       stats.Wall,
 	}
 	e.nodes = nodes
-	for i := range e.errs {
-		e.errs[i] = nil
+	for i := range e.pool {
+		e.pool[i].err = nil
 	}
 	if !e.started {
 		e.start()
@@ -568,10 +600,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 
 	runStart := time.Now()
 	baseWall := stats.Wall
-	var prevSent uint64
-	for _, c := range e.ctxs {
-		prevSent += c.sent
-	}
+	prevSent := e.totalSent()
 	for int(e.round) < maxRounds {
 		if h := testHooks; h != nil && h.BarrierEnter != nil {
 			h.BarrierEnter(e.round)
@@ -586,14 +615,10 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		t0 := time.Now()
 
 		// Phase A: all locally-owned round handlers in parallel.
-		e.barrier.Add(e.workers)
-		for _, ch := range e.cmds {
-			ch <- cmdRunNodes
-		}
-		e.barrier.Wait()
+		e.runPhase(cmdRunNodes)
 		tA := time.Now()
-		for _, err := range e.errs {
-			if err != nil {
+		for i := range e.pool {
+			if err := e.pool[i].err; err != nil {
 				e.transport.Abort(err)
 				stats.Wall = baseWall + time.Since(runStart)
 				return stats, err
@@ -606,10 +631,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 		// peers. Either way the inbox banks are swapped and the global
 		// message count comes back, so quiescence is a cluster-wide
 		// event every rank observes on the same round.
-		var sentTotal uint64
-		for _, c := range e.ctxs {
-			sentTotal += c.sent
-		}
+		sentTotal := e.totalSent()
 		localMsgs := sentTotal - prevSent
 		prevSent = sentTotal
 		e.scatterAt, e.scatterDur = time.Time{}, 0
@@ -636,8 +658,8 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 			// time load imbalance wasted this round. doneAt was stamped
 			// by each worker before it released the barrier.
 			var idle time.Duration
-			for _, d := range e.doneAt {
-				if !d.IsZero() && d.Before(tA) {
+			for i := range e.pool {
+				if d := e.pool[i].doneAt; !d.IsZero() && d.Before(tA) {
 					idle += tA.Sub(d)
 				}
 			}
@@ -655,7 +677,7 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 			}
 		}
 		if e.opts.RecordDigests {
-			e.lastDigest = e.foldInboxDigest()
+			e.lastDigest = e.chainRoundDigest()
 			e.digests = append(e.digests, e.lastDigest)
 			rs.Digest = e.lastDigest
 		}
@@ -685,6 +707,15 @@ func (e *Engine) RunBounded(ctx context.Context, nodes []Node, maxRounds int) (*
 	}
 	stats.Wall = baseWall + time.Since(runStart)
 	return stats, ErrMaxRounds
+}
+
+// totalSent sums the workers' cumulative send counters.
+func (e *Engine) totalSent() uint64 {
+	var total uint64
+	for i := range e.pool {
+		total += e.pool[i].ctx.sent
+	}
+	return total
 }
 
 // RunOnce builds a single-use engine over nodes, runs it to quiescence

@@ -21,8 +21,9 @@ type TestHooks struct {
 	// handler error would.
 	NodeError func(id core.NodeID, r core.Round) error
 	// WorkerPhase fires on each worker goroutine as it picks up a phase
-	// command (phase 0 = node handlers, phase 1 = scatter) — a stall
-	// point inside the parallel phases themselves.
+	// command (phase 0 = node handlers, phase 1 = scatter, phase 2 =
+	// replay-digest hashing) — a stall point inside the parallel phases
+	// themselves.
 	WorkerPhase func(worker, phase int)
 }
 

@@ -1,6 +1,11 @@
 package engine
 
-import "github.com/paper-repo-growth/doryp20/internal/core"
+import (
+	"fmt"
+	"sort"
+
+	"github.com/paper-repo-growth/doryp20/internal/core"
+)
 
 // Outbox is the batched-exchange helper for all-to-all communication
 // patterns: a node queues an arbitrary multiset of (destination, word)
@@ -22,54 +27,97 @@ import "github.com/paper-repo-growth/doryp20/internal/core"
 // that node's Round handler (the same single-goroutine-per-round
 // discipline the engine already imposes on node state).
 type Outbox struct {
-	// pending[dst] holds copied words for dst; head[dst] indexes the
-	// first unsent one. Slices retain capacity across drain/refill
-	// cycles, so steady-state Push/Flush does not allocate.
-	pending [][]uint64
-	head    []int
-	// shared[dst] is a FIFO of borrowed segments; soff[dst] indexes the
-	// first unsent word of the front segment. Callers must not mutate a
-	// segment until the Outbox has drained it.
-	shared [][][]uint64
-	soff   []int
-	// active lists the destinations with unsent words, each exactly
-	// once.
-	active []core.NodeID
+	n int
+	// queues holds one queue per destination with unsent words,
+	// sorted by destination. Drained queues are parked past len (in
+	// the capacity) and recycled, buffers and all, so steady-state
+	// Push/Flush does not allocate. Memory is proportional to the
+	// destinations in use, not to n.
+	queues []dstQueue
 	total  int
 }
 
+// dstQueue is the unsent words for one destination: copied words
+// first, then borrowed shared segments. A destination fed only by
+// PushShared of one segment, the broadcast case, needs nothing beyond
+// these 40 bytes.
+type dstQueue struct {
+	dst core.NodeID
+	// seg is the unsent rest of the front shared segment, nil when no
+	// segment is queued. Callers must not mutate a segment until the
+	// Outbox has drained it.
+	seg []uint64
+	// x holds copied words and further segments, allocated on first
+	// need and kept when the queue is recycled.
+	x *queueExtra
+}
+
+// queueExtra is the rarely needed part of a dstQueue.
+type queueExtra struct {
+	// head indexes the first unsent word of pending.
+	head    int
+	pending []uint64
+	// more holds the shared segments queued after seg, FIFO.
+	more [][]uint64
+}
+
 // NewOutbox returns an empty Outbox for a clique of n nodes.
-func NewOutbox(n int) *Outbox {
-	return &Outbox{
-		pending: make([][]uint64, n),
-		head:    make([]int, n),
-		shared:  make([][][]uint64, n),
-		soff:    make([]int, n),
+func NewOutbox(n int) *Outbox { return &Outbox{n: n} }
+
+// Grow reserves room for k more destinations, so that a caller who
+// knows how many destinations it is about to feed (a responder with k
+// requests) opens their queues without regrowing the queue list.
+func (o *Outbox) Grow(k int) {
+	if need := len(o.queues) + k; need > cap(o.queues) {
+		grown := make([]dstQueue, len(o.queues), need)
+		copy(grown, o.queues)
+		o.queues = grown
 	}
 }
 
-// hasUnsent reports whether dst still has queued words (and therefore
-// sits on the active list).
-func (o *Outbox) hasUnsent(dst core.NodeID) bool {
-	return o.head[dst] < len(o.pending[dst]) || len(o.shared[dst]) > 0
+// queue returns dst's queue, opening one (in destination order) if dst
+// has nothing queued. Pushing in ascending destination order, as the
+// matmul responders do, always appends.
+func (o *Outbox) queue(dst core.NodeID) *dstQueue {
+	if dst < 0 || int(dst) >= o.n {
+		panic(fmt.Sprintf("engine: Outbox destination %d out of range [0, %d)", dst, o.n))
+	}
+	last := len(o.queues)
+	i := last
+	if last > 0 && o.queues[last-1].dst >= dst {
+		i = sort.Search(last, func(k int) bool { return o.queues[k].dst >= dst })
+		if o.queues[i].dst == dst {
+			return &o.queues[i]
+		}
+	}
+	if last < cap(o.queues) {
+		o.queues = o.queues[:last+1]
+	} else {
+		o.queues = append(o.queues, dstQueue{})
+	}
+	x := o.queues[last].x // a parked queue's buffers, or nil
+	copy(o.queues[i+1:], o.queues[i:last])
+	if x != nil {
+		x.head, x.pending, x.more = 0, x.pending[:0], x.more[:0]
+	}
+	o.queues[i] = dstQueue{dst: dst, x: x}
+	return &o.queues[i]
 }
 
-// activate compacts dst's drained buffers and puts it on the active
-// list. Callers must have checked !hasUnsent(dst).
-func (o *Outbox) activate(dst core.NodeID) {
-	o.pending[dst] = o.pending[dst][:0]
-	o.head[dst] = 0
-	o.active = append(o.active, dst)
+// extra returns q's queueExtra, allocating it on first use.
+func (q *dstQueue) extra() *queueExtra {
+	if q.x == nil {
+		q.x = &queueExtra{}
+	}
+	return q.x
 }
 
 // Push queues one word for dst (copied). It panics on an out-of-range
 // destination; self-sends are the caller's responsibility to avoid
 // (the router rejects them at Flush time).
 func (o *Outbox) Push(dst core.NodeID, word uint64) {
-	if !o.hasUnsent(dst) {
-		o.activate(dst)
-	}
-	o.pending[dst] = append(o.pending[dst], word)
+	x := o.queue(dst).extra()
+	x.pending = append(x.pending, word)
 	o.total++
 }
 
@@ -82,48 +130,53 @@ func (o *Outbox) PushShared(dst core.NodeID, words []uint64) {
 	if len(words) == 0 {
 		return
 	}
-	if !o.hasUnsent(dst) {
-		o.activate(dst)
+	q := o.queue(dst)
+	if q.seg == nil {
+		q.seg = words
+	} else {
+		x := q.extra()
+		x.more = append(x.more, words)
 	}
-	o.shared[dst] = append(o.shared[dst], words)
 	o.total += len(words)
 }
 
 // Pending returns the number of queued, not-yet-sent words.
 func (o *Outbox) Pending() int { return o.total }
 
-// drainDst sends up to budget words to dst — copied words first, then
+// drained reports whether q has no unsent words.
+func (q *dstQueue) drained() bool {
+	return q.seg == nil && (q.x == nil || q.x.head == len(q.x.pending))
+}
+
+// drain sends up to budget words to q.dst — copied words first, then
 // shared segments. It returns the number sent and the first send error.
-func (o *Outbox) drainDst(ctx *Ctx, dst core.NodeID, budget int) (int, error) {
+func (q *dstQueue) drain(ctx *Ctx, budget int) (int, error) {
 	sent := 0
-	q, h := o.pending[dst], o.head[dst]
-	for h < len(q) && sent < budget {
-		if err := ctx.Send(dst, q[h]); err != nil {
-			o.head[dst] = h
-			return sent, err
-		}
-		h++
-		sent++
-	}
-	o.head[dst] = h
-	for len(o.shared[dst]) > 0 && sent < budget {
-		seg := o.shared[dst][0]
-		off := o.soff[dst]
-		for off < len(seg) && sent < budget {
-			if err := ctx.Send(dst, seg[off]); err != nil {
-				o.soff[dst] = off
+	if x := q.x; x != nil && x.head < len(x.pending) {
+		for x.head < len(x.pending) && sent < budget {
+			if err := ctx.Send(q.dst, x.pending[x.head]); err != nil {
 				return sent, err
 			}
-			off++
+			x.head++
 			sent++
 		}
-		if off == len(seg) {
+		if x.head == len(x.pending) {
+			x.head, x.pending = 0, x.pending[:0]
+		}
+	}
+	for q.seg != nil && sent < budget {
+		if err := ctx.Send(q.dst, q.seg[0]); err != nil {
+			return sent, err
+		}
+		sent++
+		if q.seg = q.seg[1:]; len(q.seg) == 0 {
 			// Pop the finished segment, releasing the reference.
-			o.shared[dst][0] = nil
-			o.shared[dst] = o.shared[dst][1:]
-			o.soff[dst] = 0
-		} else {
-			o.soff[dst] = off
+			q.seg = nil
+			if x := q.x; x != nil && len(x.more) > 0 {
+				q.seg = x.more[0]
+				x.more[0] = nil
+				x.more = x.more[1:]
+			}
 		}
 	}
 	return sent, nil
@@ -141,24 +194,29 @@ func (o *Outbox) Flush(ctx *Ctx) error {
 		return nil
 	}
 	capMsgs := ctx.LinkMsgCap()
-	kept := o.active[:0]
-	for i, dst := range o.active {
-		sent, err := o.drainDst(ctx, dst, capMsgs)
+	qs := o.queues
+	kept := 0
+	for i := range qs {
+		sent, err := qs[i].drain(ctx, capMsgs)
 		o.total -= sent
-		if o.hasUnsent(dst) {
-			kept = append(kept, dst)
-		} else {
-			o.pending[dst] = o.pending[dst][:0]
-			o.head[dst] = 0
-		}
 		if err != nil {
-			// Preserve the untouched tail of the active list. kept and
-			// o.active share storage; copy-forward via append is safe.
-			kept = append(kept, o.active[i+1:]...)
-			o.active = kept
+			// Keep this queue and the untouched tail, in order.
+			for j := i; j < len(qs); j++ {
+				qs[kept], qs[j] = qs[j], qs[kept]
+				kept++
+			}
+			o.queues = qs[:kept]
 			return err
 		}
+		if !qs[i].drained() {
+			if kept != i {
+				// Swapping parks the drained queue at i for
+				// recycling.
+				qs[kept], qs[i] = qs[i], qs[kept]
+			}
+			kept++
+		}
 	}
-	o.active = kept
+	o.queues = qs[:kept]
 	return nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -188,24 +189,95 @@ func TestOutboxPushSharedSegments(t *testing.T) {
 }
 
 // TestOutboxReuse pushes, drains, and pushes again to exercise the
-// compaction path.
+// compaction path: a drained destination's queue is parked and
+// recycled, so refilling it allocates nothing.
 func TestOutboxReuse(t *testing.T) {
+	rt := newRouter(4, 1, 1, core.DefaultBudget(4))
+	defer rt.release()
+	c := rt.newCtx(0)
 	ob := NewOutbox(4)
+	flushRound := func() {
+		t.Helper()
+		c.bind(0)
+		if err := ob.Flush(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ob.Push(2, 1)
 	ob.Push(2, 2)
 	if ob.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", ob.Pending())
 	}
-	// Drain manually via the internal bookkeeping used by Flush.
-	ob.head[2] = 2
-	ob.total = 0
-	ob.active = ob.active[:0]
-	ob.Push(2, 3)
-	if ob.Pending() != 1 || len(ob.active) != 1 {
-		t.Fatalf("after reuse: Pending=%d active=%d, want 1/1", ob.Pending(), len(ob.active))
+	flushRound()
+	flushRound()
+	if ob.Pending() != 0 || len(ob.queues) != 0 {
+		t.Fatalf("after drain: Pending=%d queues=%d, want 0/0", ob.Pending(), len(ob.queues))
 	}
-	if got := ob.pending[2][ob.head[2]]; got != 3 {
-		t.Fatalf("head word = %d, want 3", got)
+	ob.Push(2, 3)
+	if ob.Pending() != 1 || len(ob.queues) != 1 {
+		t.Fatalf("after reuse: Pending=%d queues=%d, want 1/1", ob.Pending(), len(ob.queues))
+	}
+	if q := ob.queues[0]; q.dst != 2 || q.x.pending[q.x.head] != 3 {
+		t.Fatalf("head of queue for %d = %d, want 3 for 2", q.dst, q.x.pending[q.x.head])
+	}
+	flushRound()
+	if allocs := testing.AllocsPerRun(10, func() {
+		ob.Push(2, 4)
+		flushRound()
+	}); allocs != 0 {
+		t.Errorf("refilling a drained destination allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestOutboxPushAnyOrder pushes to destinations in descending and
+// interleaved order and checks that every destination still receives
+// its own words in push order, with copied words ahead of shared ones.
+func TestOutboxPushAnyOrder(t *testing.T) {
+	const n = 6
+	nodes := make([]Node, n)
+	state := make([]obNode, n)
+	ob := NewOutbox(n)
+	want := map[core.NodeID][]uint64{}
+	push := func(dst core.NodeID, w uint64) {
+		ob.Push(dst, w)
+		want[dst] = append(want[dst], w)
+	}
+	for dst := core.NodeID(n - 1); dst >= 1; dst-- {
+		push(dst, uint64(dst)*10)
+	}
+	ob.PushShared(3, []uint64{300, 301})
+	push(1, 11)
+	push(4, 41)
+	ob.PushShared(4, []uint64{400})
+	push(3, 31)
+	want[3] = append(want[3], 300, 301)
+	want[4] = append(want[4], 400)
+	state[0].ob = ob
+	for i := range state {
+		nodes[i] = &state[i]
+	}
+	if _, err := RunOnce(nodes, Options{}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for dst := core.NodeID(1); dst < n; dst++ {
+		if got := state[dst].got[0]; !reflect.DeepEqual(got, want[dst]) {
+			t.Errorf("dst %d received %v, want %v", dst, got, want[dst])
+		}
+	}
+}
+
+// TestOutboxRejectsOutOfRange checks the documented panic on an
+// out-of-range destination.
+func TestOutboxRejectsOutOfRange(t *testing.T) {
+	for _, dst := range []core.NodeID{-1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Push(%d) on a 4-node Outbox did not panic", dst)
+				}
+			}()
+			NewOutbox(4).Push(dst, 1)
+		}()
 	}
 }
 

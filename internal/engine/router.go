@@ -13,15 +13,18 @@
 // Bandwidth accounting: the Congested Clique allows B = O(log n) bits
 // per directed link per round. The router charges Budget.MsgBits per
 // message and rejects a send that would exceed the link capacity with a
-// *BandwidthError instead of silently dropping. The per-link counters
-// are epoch-stamped (one uint32 epoch + uint16 count per ordered pair)
-// so that resetting them between rounds is a single epoch increment,
-// not an O(n^2) clear.
+// *BandwidthError instead of silently dropping. A node sends only from
+// its own handler, once per round, on one worker, so the counters live
+// with the worker: each worker's Ctx holds one epoch-stamped counter
+// per destination, and rebinding the Ctx to the next node advances its
+// epoch, which resets every counter at once. That is O(workers * n)
+// memory instead of one counter per ordered pair.
 package engine
 
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
@@ -82,7 +85,11 @@ type router struct {
 	// shard s owns dsts in [bounds[s], bounds[s+1]).
 	bounds []int32
 
-	// out[w][s] holds messages appended by worker w for shard s.
+	// out[w][s] holds messages appended by worker w for shard s. The
+	// rows are cut from one backing array with outRowGap spare headers
+	// before each, so a worker appending to its row (which rewrites a
+	// slab header on every send) never shares a cache line with
+	// another worker's row. Worker w's Ctx holds a copy of row w.
 	out [][][]outMsg
 
 	// inbox is the bank nodes read this round; spare is the bank the
@@ -90,16 +97,28 @@ type router struct {
 	inbox [][]Message
 	spare [][]Message
 
-	// Per-ordered-pair bandwidth accounting, epoch-stamped so a round
-	// change is an O(1) reset. Index is src*n + dst. Epochs wrap after
-	// 2^32 rounds; a false positive then would require a pair to be
-	// untouched for exactly 2^32 rounds, which we accept.
-	curEpoch uint32
-	epoch    []uint32
-	count    []uint16
-
 	round core.Round
 }
+
+// cacheLinePair is the span of memory one worker's hot state is kept
+// apart by: two 64-byte cache lines, because the adjacent-line
+// prefetcher of current x86 cores fetches lines in 128-byte pairs.
+const cacheLinePair = 128
+
+// outRowGap is the number of spare slab headers before every worker's
+// row of router.out: at least cacheLinePair bytes.
+const outRowGap = (cacheLinePair + int(unsafe.Sizeof([]outMsg(nil))) - 1) / int(unsafe.Sizeof([]outMsg(nil)))
+
+// linkStamp is one destination's link counter in a worker's Ctx: the
+// number of messages sent to it under binding epoch.
+type linkStamp struct {
+	epoch uint32
+	count uint16
+}
+
+// linkGap is the number of spare stamps on each side of a worker's
+// stamp row, at least cacheLinePair bytes.
+const linkGap = (cacheLinePair + int(unsafe.Sizeof(linkStamp{})) - 1) / int(unsafe.Sizeof(linkStamp{}))
 
 func newRouter(n, workers, shards int, budget core.Budget) *router {
 	if shards < 1 {
@@ -121,17 +140,28 @@ func newRouter(n, workers, shards int, budget core.Budget) *router {
 		out:     make([][][]outMsg, workers),
 		inbox:   make([][]Message, n),
 		spare:   make([][]Message, n),
-		epoch:   make([]uint32, n*n),
-		count:   make([]uint16, n*n),
 	}
 	for s := 0; s <= shards; s++ {
 		rt.bounds[s] = int32((s*n + shards - 1) / shards)
 	}
+	rows := make([][]outMsg, workers*(outRowGap+shards)+outRowGap)
 	for w := range rt.out {
-		rt.out[w] = make([][]outMsg, shards)
+		lo := outRowGap + w*(outRowGap+shards)
+		rt.out[w] = rows[lo : lo+shards : lo+shards]
 	}
-	rt.curEpoch = 1
 	return rt
+}
+
+// newCtx returns worker w's unbound send handle: row w of the
+// out-slabs and a fresh row of link stamps, padded on both sides so no
+// other worker's stamps share its cache lines.
+func (rt *router) newCtx(w int) Ctx {
+	links := make([]linkStamp, rt.n+2*linkGap)
+	return Ctx{
+		rt:    rt,
+		out:   rt.out[w],
+		links: links[linkGap : linkGap+rt.n : linkGap+rt.n],
+	}
 }
 
 // shardOf maps a destination to its owning shard, consistent with
@@ -140,30 +170,29 @@ func (rt *router) shardOf(dst core.NodeID) int {
 	return int(dst) * rt.shards / rt.n
 }
 
-// send appends one message to worker w's buffer for the destination's
-// shard, enforcing the link budget. Callers must ensure that all sends
-// with a given src happen on a single goroutine (the engine runs each
-// node's handler on exactly one worker), which makes the per-src rows
-// of the accounting arrays data-race free without atomics.
-func (rt *router) send(w int, src, dst core.NodeID, payload uint64) error {
-	if dst < 0 || int(dst) >= rt.n || dst == src {
-		return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, src, rt.n)
+// send appends one message from c's bound node to the out-slab of the
+// destination's shard, enforcing the link budget. The engine runs each
+// node's handler on exactly one worker, and each worker owns its Ctx,
+// so the stamps and the out-slab row are data-race free without atomics.
+func (rt *router) send(c *Ctx, dst core.NodeID, payload uint64) error {
+	if dst < 0 || int(dst) >= rt.n || dst == c.src {
+		return fmt.Errorf("engine: invalid destination %d for sender %d (n=%d)", dst, c.src, rt.n)
 	}
-	idx := int(src)*rt.n + int(dst)
-	if rt.epoch[idx] != rt.curEpoch {
-		rt.epoch[idx] = rt.curEpoch
-		rt.count[idx] = 0
+	l := &c.links[dst]
+	if l.epoch != c.epoch {
+		l.epoch = c.epoch
+		l.count = 0
 	}
-	if int(rt.count[idx]) >= rt.linkCap {
-		return &BandwidthError{Src: src, Dst: dst, Round: rt.round, Cap: rt.linkCap}
+	if int(l.count) >= rt.linkCap {
+		return &BandwidthError{Src: c.src, Dst: dst, Round: rt.round, Cap: rt.linkCap}
 	}
-	rt.count[idx]++
+	l.count++
 	s := rt.shardOf(dst)
-	buf := rt.out[w][s]
+	buf := c.out[s]
 	if buf == nil {
 		buf = *slabPool.Get().(*[]outMsg)
 	}
-	rt.out[w][s] = append(buf, outMsg{dst: dst, src: src, payload: payload})
+	c.out[s] = append(buf, outMsg{dst: dst, src: c.src, payload: payload})
 	return nil
 }
 
@@ -192,8 +221,8 @@ func (rt *router) scatterShard(s int) {
 
 // reset rewinds the router to a pristine round 0 for engine reuse:
 // both inbox banks and all out-buffers are truncated (capacity kept,
-// so reuse allocates nothing), the bandwidth epoch advances so every
-// per-link counter reads as zero, and the round counter restarts. A
+// so reuse allocates nothing) and the round counter restarts; link
+// counters need no reset, since every binding starts a fresh epoch. A
 // run that ended in quiescence leaves nothing to clear, but a run cut
 // short by a handler error or context cancellation can leave queued
 // out-buffer messages and a filled spare bank behind.
@@ -209,15 +238,13 @@ func (rt *router) reset() {
 			}
 		}
 	}
-	rt.curEpoch++
 	rt.round = 0
 }
 
-// finishRound swaps the inbox banks and advances the bandwidth epoch.
+// finishRound swaps the inbox banks and advances the round counter.
 // Must be called after every shard's scatterShard has completed.
 func (rt *router) finishRound() {
 	rt.inbox, rt.spare = rt.spare, rt.inbox
-	rt.curEpoch++
 	rt.round++
 }
 

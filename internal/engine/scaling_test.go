@@ -18,12 +18,13 @@ var scalingProcs = []int{1, 2, 4}
 // routerRound drives one full router round of the BenchmarkRouter
 // workload: every node sends to fanout ring successors, all shards
 // scatter, banks flip.
-func routerRound(t *testing.T, rt *router, n, fanout int) {
+func routerRound(t *testing.T, rt *router, c *Ctx, n, fanout int) {
 	t.Helper()
 	for src := 0; src < n; src++ {
+		c.bind(core.NodeID(src))
 		for k := 1; k <= fanout; k++ {
 			dst := core.NodeID((src + k) % n)
-			if err := rt.send(0, core.NodeID(src), dst, uint64(src)); err != nil {
+			if err := rt.send(c, dst, uint64(src)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -50,11 +51,12 @@ func TestRouterZeroAllocsAcrossProcs(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			rt := newRouter(n, 1, shards, core.DefaultBudget(n))
 			defer rt.release()
+			c := rt.newCtx(0)
 			for i := 0; i < 3; i++ {
-				routerRound(t, rt, n, fanout) // reach steady-state capacity
+				routerRound(t, rt, &c, n, fanout) // reach steady-state capacity
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				routerRound(t, rt, n, fanout)
+				routerRound(t, rt, &c, n, fanout)
 			})
 			if allocs != 0 {
 				t.Errorf("router round allocates %.1f times at GOMAXPROCS=%d, want 0", allocs, procs)

@@ -4,7 +4,7 @@
 // every handler for round r-1 has returned, every message it sent sits
 // in the double-buffered inbox bank for round r, and nothing is in
 // flight. A snapshot taken there — round number, inbox bank, per-worker
-// send counters, cumulative stats, and the chained per-round FNV replay
+// send counters, cumulative stats, and the chained per-round replay
 // digests — is therefore sufficient to continue the run bit-identically
 // on any engine of the same shape (clique size and bandwidth budget),
 // which RestoreSnapshot + RunBounded do. The serialized form is the
@@ -20,26 +20,14 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 )
 
-// digestSeed is the initial value of the per-run replay digest chain.
-const digestSeed = ckptio.FNVOffset
-
-// fnv1aWord folds one 64-bit word into a running FNV-1a hash,
-// little-endian byte order, without allocating.
-func fnv1aWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
-}
-
 // snapshotMagic and snapshotVersion stamp the serialized snapshot
 // format; ReadSnapshot rejects mismatches with a descriptive error
-// instead of decoding garbage.
+// instead of decoding garbage. Version 2 carries the v2 replay digest
+// chain (digest.go); a version-1 snapshot's chain could not be
+// continued, so it is rejected.
 const (
 	snapshotMagic   uint64 = 0x43435350_30303153 // "CCSP001S"
-	snapshotVersion uint64 = 1
+	snapshotVersion uint64 = 2
 )
 
 // Snapshot is an Engine's complete state at a round barrier: everything
@@ -66,7 +54,7 @@ type Snapshot struct {
 	// Inbox is the message bank awaiting delivery in round Round, in
 	// the router's deterministic per-destination order.
 	Inbox [][]Message
-	// Digests is the chained per-round FNV-1a replay digest sequence of
+	// Digests is the chained per-round replay digest sequence of
 	// rounds 0..Round-1 (empty unless Options.RecordDigests was set).
 	Digests []uint64
 }
@@ -85,13 +73,13 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		N:       e.n,
 		Budget:  e.opts.Budget,
 		Round:   e.round,
-		Sent:    make([]uint64, len(e.ctxs)),
+		Sent:    make([]uint64, len(e.pool)),
 		Inbox:   make([][]Message, e.n),
 		Digests: append([]uint64(nil), e.digests...),
 		Stats:   e.curStats,
 	}
-	for i, c := range e.ctxs {
-		s.Sent[i] = c.sent
+	for i := range e.pool {
+		s.Sent[i] = e.pool[i].ctx.sent
 	}
 	for d := 0; d < e.n; d++ {
 		if box := e.rt.inbox[d]; len(box) > 0 {
@@ -127,21 +115,21 @@ func (e *Engine) RestoreSnapshot(s *Snapshot) error {
 	}
 	e.round = s.Round
 	e.rt.round = s.Round
-	for _, c := range e.ctxs {
-		c.sent = 0
+	for i := range e.pool {
+		e.pool[i].ctx.sent = 0
 	}
-	if len(s.Sent) == len(e.ctxs) {
-		for i, c := range e.ctxs {
-			c.sent = s.Sent[i]
+	if len(s.Sent) == len(e.pool) {
+		for i := range e.pool {
+			e.pool[i].ctx.sent = s.Sent[i]
 		}
-	} else if len(e.ctxs) > 0 {
+	} else if len(e.pool) > 0 {
 		// Worker counts differ (e.g. restored on another machine): only
 		// the sum feeds quiescence detection, so fold it into worker 0.
 		var total uint64
 		for _, v := range s.Sent {
 			total += v
 		}
-		e.ctxs[0].sent = total
+		e.pool[0].ctx.sent = total
 	}
 	e.digests = append(e.digests[:0], s.Digests...)
 	e.lastDigest = digestSeed

@@ -392,6 +392,85 @@ func TestTransportConformanceSnapshotRestore(t *testing.T) {
 	}
 }
 
+// runTraffic sends several words per link: in round r < rounds, node
+// v sends 1 + (v+j+r)%3 words to each of its next 1 + (v+r)%4 ring
+// successors, each payload tagging (v, r, send sequence). Inboxes
+// therefore hold runs of words from one source. Node state is the
+// first inbox-order violation it saw.
+type runTraffic struct {
+	n, rounds int
+	bad       error
+}
+
+// runTrafficBudget carries runTraffic's largest run, 3 words.
+var runTrafficBudget = core.Budget{BitsPerLink: 3 * core.WordBits, MsgBits: core.WordBits}
+
+func (tf *runTraffic) Round(ctx *Ctx, r core.Round, inbox []Message) error {
+	for i := 1; i < len(inbox) && tf.bad == nil; i++ {
+		prev, m := inbox[i-1], inbox[i]
+		if m.Src < prev.Src || m.Src == prev.Src && m.Payload <= prev.Payload {
+			tf.bad = fmt.Errorf("node %d round %d: message %d (src %d, tag %#x) after (src %d, tag %#x)",
+				ctx.ID(), r, i, m.Src, m.Payload, prev.Src, prev.Payload)
+		}
+	}
+	if int(r) >= tf.rounds {
+		return nil
+	}
+	v := int(ctx.ID())
+	seq := uint64(0)
+	for j := 1; j <= 1+(v+int(r))%4 && j < tf.n; j++ {
+		dst := core.NodeID((v + j) % tf.n)
+		for w := 0; w <= (v+j+int(r))%3; w++ {
+			seq++
+			if err := ctx.Send(dst, uint64(v)<<40|uint64(r)<<20|seq); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestTransportConformanceInboxOrder checks the inbox-order contract of
+// Node on every transport, with two workers per rank: each inbox is
+// ordered by ascending source, and one source's words keep their send
+// order.
+func TestTransportConformanceInboxOrder(t *testing.T) {
+	const n, rounds = 19, 6
+	for _, c := range conformanceCases() {
+		t.Run(fmt.Sprintf("%s-r%d", c.transport, c.ranks), func(t *testing.T) {
+			errs := runCluster(t, c, func(rank int, tr Transport) error {
+				nodes := make([]Node, n)
+				traffic := make([]runTraffic, n)
+				for i := range nodes {
+					traffic[i] = runTraffic{n: n, rounds: rounds}
+					nodes[i] = &traffic[i]
+				}
+				e, err := New(n, Options{Transport: tr, Workers: 2, Budget: runTrafficBudget})
+				if err != nil {
+					tr.Close()
+					return err
+				}
+				defer e.Close()
+				if _, err := e.Run(context.Background(), nodes); err != nil {
+					return err
+				}
+				lo, hi := e.Partition()
+				for v := lo; v < hi; v++ {
+					if traffic[v].bad != nil {
+						return traffic[v].bad
+					}
+				}
+				return nil
+			})
+			for rank, err := range errs {
+				if err != nil {
+					t.Errorf("rank %d: %v", rank, err)
+				}
+			}
+		})
+	}
+}
+
 // TestTransportConformanceGather checks AllGatherRows on every
 // transport: each rank fills only its own partition's rows of an
 // n x rowLen slab, and after one gather every rank holds the complete

@@ -130,6 +130,9 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 		}
 		return nil
 	case 1:
+		if nd.ob != nil {
+			nd.ob.Grow(len(inbox))
+		}
 		for _, m := range inbox {
 			if nd.unpace {
 				for _, w := range nd.packed {
@@ -149,20 +152,20 @@ func (nd *mulNode) Round(ctx *engine.Ctx, r core.Round, inbox []engine.Message) 
 		}
 		return nil
 	default:
-		// Deterministic inbox order delivers each sender's words in
-		// contiguous runs, so caching the last (src, A[v][src]) pair
-		// removes the per-word binary search from the dominant loop.
-		lastSrc := core.NodeID(-1)
-		var aik int64
+		// The inbox is ordered by ascending src (see engine.Node), and
+		// aCols is sorted, so one forward walk of aCols finds every
+		// sender's A[v][src]. At the default cap each sender
+		// contributes one word per round; at wider caps its words
+		// arrive in a contiguous run and the walk stays put.
+		i := 0
 		for _, m := range inbox {
-			if m.Src != lastSrc {
-				var ok bool
-				aik, ok = nd.lookupA(m.Src)
-				if !ok {
-					return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
-				}
-				lastSrc = m.Src
+			for i < len(nd.aCols) && nd.aCols[i] < m.Src {
+				i++
 			}
+			if i == len(nd.aCols) || nd.aCols[i] != m.Src {
+				return fmt.Errorf("matmul: node %d got unsolicited data from %d", ctx.ID(), m.Src)
+			}
+			aik := nd.aVals[i]
 			j, val := nd.wf.unpack(m.Payload)
 			nd.acc[j] = nd.sr.Add(nd.acc[j], nd.sr.Mul(aik, val))
 		}

@@ -2,6 +2,7 @@ package matmul
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/doryp20/internal/core"
@@ -143,6 +144,74 @@ func TestUnpacedProductReturnsBandwidthError(t *testing.T) {
 		t.Fatalf("paced Mul on same input: %v", err)
 	}
 }
+
+// TestMulWideBudgetMatchesRef runs products under a 4-word link
+// budget, where each responder's words reach a requester in runs, and
+// checks the accumulation against the sequential reference.
+func TestMulWideBudgetMatchesRef(t *testing.T) {
+	sr := core.MinPlus()
+	g := graph.RandomGNP(40, 0.3, 9).WithUniformRandomWeights(20, 9)
+	a, err := FromGraph(g, sr, true)
+	if err != nil {
+		t.Fatalf("FromGraph: %v", err)
+	}
+	want, err := MulRef(a, a)
+	if err != nil {
+		t.Fatalf("MulRef: %v", err)
+	}
+	budget := core.Budget{BitsPerLink: 4 * core.WordBits, MsgBits: core.WordBits}
+	for _, workers := range []int{1, 3} {
+		got, _, err := Mul(a, a, Options{Engine: engine.Options{Workers: workers, Budget: budget}})
+		if err != nil {
+			t.Fatalf("Mul (w=%d): %v", workers, err)
+		}
+		matricesEqual(t, got, want, "4-word budget")
+	}
+}
+
+// TestMulNodeRejectsUnsolicitedData feeds a responder node data words
+// from senders it requested (1 and 3) and from one it did not (2): the
+// walk over its sorted A-row must report the stray sender by ID.
+func TestMulNodeRejectsUnsolicitedData(t *testing.T) {
+	sr := core.MinPlus()
+	wf := newWireFormat(4)
+	for _, stray := range []bool{false, true} {
+		nd := &mulNode{
+			sr:    sr,
+			wf:    wf,
+			aCols: []core.NodeID{1, 3},
+			aVals: []int64{10, 20},
+			acc:   []int64{sr.Zero, sr.Zero, sr.Zero, sr.Zero},
+		}
+		nodes := []engine.Node{nd}
+		for src := 1; src < 4; src++ {
+			nodes = append(nodes, feedNode(func(ctx *engine.Ctx, r core.Round) error {
+				if r != 1 || (src == 2 && !stray) {
+					return nil
+				}
+				return ctx.Send(0, wf.pack(src, int64(src)))
+			}))
+		}
+		_, err := engine.RunOnce(nodes, engine.Options{})
+		if !stray {
+			if err != nil {
+				t.Fatalf("solicited data only: %v", err)
+			}
+			if nd.acc[1] != 11 || nd.acc[3] != 23 {
+				t.Fatalf("acc = %v, want 11 at column 1 and 23 at column 3", nd.acc)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "unsolicited data from 2") {
+			t.Fatalf("data from unrequested sender 2: err = %v, want an unsolicited-data error", err)
+		}
+	}
+}
+
+// feedNode is a node whose handler is a function of (ctx, round).
+type feedNode func(ctx *engine.Ctx, r core.Round) error
+
+func (f feedNode) Round(ctx *engine.Ctx, r core.Round, _ []engine.Message) error { return f(ctx, r) }
 
 // TestMulRejectsUnpackableValues checks the pre-flight value screen.
 func TestMulRejectsUnpackableValues(t *testing.T) {
