@@ -38,6 +38,27 @@ import (
 	"github.com/paper-repo-growth/doryp20/server"
 )
 
+// HTTP connection timeouts. ReadHeaderTimeout bounds how long a client
+// may take to send its request headers, so a stalled or slow-header
+// connection cannot hold a goroutine forever; IdleTimeout closes
+// keep-alive connections that carry no request. Bodies and responses
+// are not bounded here: a large graph upload or a long kernel run is
+// legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server with its fixed
+// connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -77,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "ccserve listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -109,5 +110,21 @@ func TestRunBadFlags(t *testing.T) {
 	err := run(context.Background(), []string{"-addr"}, io.Discard)
 	if err == nil {
 		t.Fatal("run accepted a flag missing its value")
+	}
+}
+
+// TestHTTPServerTimeouts: the daemon's http.Server must bound header
+// reads and idle keep-alive connections, so slow or stalled clients
+// cannot pin connections indefinitely.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("Handler not set")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
 // ApproxKSourceKernel computes (1+ε)-approximate shortest-path
@@ -37,7 +38,7 @@ type ApproxKSourceKernel struct {
 	stage  int // 0: unstarted, 1: hopset, 2: relaxing, 3: done
 	ck     *hopset.ConstructKernel
 	hs     *hopset.Hopset
-	rx     *relaxState
+	rx     *matmul.Chain
 	n      int
 	dist   [][]int64
 	gather engine.Gatherer
@@ -51,9 +52,7 @@ func (k *ApproxKSourceKernel) SetGatherer(g engine.Gatherer) {
 	if k.ck != nil {
 		k.ck.SetGatherer(g)
 	}
-	if k.rx != nil {
-		k.rx.gather = g
-	}
+	k.rx.SetGatherer(g)
 }
 
 // NewApproxKSourceKernel returns a (1+ε)-approximate k-source distance
@@ -103,19 +102,17 @@ func (k *ApproxKSourceKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		if limit := k.n - 1; remaining > limit {
 			remaining = limit
 		}
-		k.rx = newRelaxState(s, k.sources, remaining)
-		k.rx.gather = k.gather
+		if k.rx, err = newRelaxChain(s, k.sources, remaining, k.gather); err != nil {
+			return nil, err
+		}
 		k.stage = 2
 	}
 	if k.stage == 2 {
-		pass, err := k.rx.next()
-		if err != nil {
-			return nil, err
+		nodes, err := k.rx.Next()
+		if err != nil || nodes != nil {
+			return nodes, err
 		}
-		if pass != nil {
-			return pass.Nodes(), nil
-		}
-		k.dist = k.rx.distRows()
+		k.dist = distRows(k.rx.Cur())
 		k.stage = 3
 	}
 	return nil, nil
@@ -126,10 +123,7 @@ func (k *ApproxKSourceKernel) MaxRoundsHint() int {
 	if k.ck != nil {
 		return k.ck.MaxRoundsHint()
 	}
-	if k.rx != nil {
-		return k.rx.hint()
-	}
-	return 0
+	return k.rx.MaxRoundsHint()
 }
 
 // Result returns the distance rows ([][]int64, dist[j][v] = the

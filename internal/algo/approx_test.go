@@ -10,6 +10,7 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
 	"github.com/paper-repo-growth/doryp20/internal/hopset"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
 // checkApproxVector asserts the (1+eps) sandwich d* <= d <= (1+eps)·d*
@@ -95,6 +96,58 @@ func TestApproxKSourceWithinEps(t *testing.T) {
 	}
 	for j, src := range sources {
 		checkApproxVector(t, "approx-ksource", dist[j], BellmanFordRef(g, src), eps)
+	}
+}
+
+// TestApproxKSourceHighDiameter runs the approximate pipeline on paths
+// and grids, where source columns keep changing until late relaxation
+// products. The distances must equal a sequential replay (ConstructRef,
+// Augment, then full MulDenseRef products) bit for bit, and stay inside
+// the (1+eps) sandwich around the Bellman-Ford oracle.
+func TestApproxKSourceHighDiameter(t *testing.T) {
+	const eps = 0.25
+	for _, tc := range []struct {
+		name    string
+		g       *graph.CSR
+		sources []core.NodeID
+	}{
+		{"path", graph.Path(50).WithUniformRandomWeights(8, 30), []core.NodeID{0, 49, 17}},
+		{"grid", graph.Grid(8, 8).WithUniformRandomWeights(9, 12), []core.NodeID{0, 63}},
+	} {
+		params := hopset.Params{Eps: eps, HubRate: 1, Seed: 3}
+		dist, _, err := ApproxKSourceDistances(tc.g, tc.sources, params, engine.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		hs, err := hopset.ConstructRef(tc.g, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aug, err := hopset.Augment(hs.Base, hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := matmul.NewDense(tc.g.N, len(tc.sources), aug.Sr)
+		for j, src := range tc.sources {
+			b.Row(src)[j] = aug.Sr.One
+		}
+		for i := 0; i < RelaxProducts(hs.Beta, tc.g.N); i++ {
+			if b, err = matmul.MulDenseRef(aug, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j, src := range tc.sources {
+			for v := 0; v < tc.g.N; v++ {
+				want := b.At(core.NodeID(v), j)
+				if want >= core.InfWeight {
+					want = Unreached
+				}
+				if dist[j][v] != want {
+					t.Fatalf("%s: source %d vertex %d: %d, sequential replay %d", tc.name, src, v, dist[j][v], want)
+				}
+			}
+			checkApproxVector(t, tc.name, dist[j], BellmanFordRef(tc.g, src), eps)
+		}
 	}
 }
 

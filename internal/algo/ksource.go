@@ -6,6 +6,7 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/core"
 	"github.com/paper-repo-growth/doryp20/internal/engine"
 	"github.com/paper-repo-growth/doryp20/internal/graph"
+	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
 // KSourceKernel computes exact shortest-path distances from k source
@@ -32,7 +33,7 @@ type KSourceKernel struct {
 
 	stage     int // 0: unstarted, 1: powering, 2: relaxing, 3: done
 	ps        *powerState
-	rx        *relaxState
+	rx        *matmul.Chain
 	remaining int
 	n         int
 	dist      [][]int64
@@ -47,9 +48,7 @@ func (k *KSourceKernel) SetGatherer(g engine.Gatherer) {
 	if k.ps != nil {
 		k.ps.gather = g
 	}
-	if k.rx != nil {
-		k.rx.gather = g
-	}
+	k.rx.SetGatherer(g)
 }
 
 // NewKSourceKernel returns a k-source distance kernel for the given
@@ -83,20 +82,18 @@ func (k *KSourceKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		}
 		// Powering finished: S = A^h. Hand off to the shared relaxation
 		// stage and fall through.
-		k.rx = newRelaxState(k.ps.matrix(), k.sources, k.remaining)
-		k.rx.gather = k.gather
+		if k.rx, err = newRelaxChain(k.ps.matrix(), k.sources, k.remaining, k.gather); err != nil {
+			return nil, err
+		}
 		k.ps = nil
 		k.stage = 2
 	}
 	if k.stage == 2 {
-		pass, err := k.rx.next()
-		if err != nil {
-			return nil, err
+		nodes, err := k.rx.Next()
+		if err != nil || nodes != nil {
+			return nodes, err
 		}
-		if pass != nil {
-			return pass.Nodes(), nil
-		}
-		k.dist = k.rx.distRows()
+		k.dist = distRows(k.rx.Cur())
 		k.stage = 3
 	}
 	return nil, nil
@@ -145,10 +142,7 @@ func (k *KSourceKernel) MaxRoundsHint() int {
 	if k.ps != nil {
 		return k.ps.hint()
 	}
-	if k.rx != nil {
-		return k.rx.hint()
-	}
-	return 0
+	return k.rx.MaxRoundsHint()
 }
 
 // Result returns the distance rows ([][]int64, dist[j][v] = distance

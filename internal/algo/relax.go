@@ -6,92 +6,41 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// relaxState iterates the per-source relaxation stage shared by the
-// exact and approximate k-source pipelines: starting from the source
-// indicator columns, run `remaining` dense products B_{t+1} = S ⊗ B_t
-// over a fixed matrix S, one engine pass per product. KSourceKernel
-// instantiates it with S = A^h and ceil((n-1)/h) products for
-// exactness; the approximate kernels with S = the hopset-augmented
-// adjacency and ceil(β) products.
-type relaxState struct {
-	s         *matmul.Matrix
-	cur       *matmul.Dense
-	pass      *matmul.Pass
-	remaining int
-	// gather is injected into every pass so harvests assemble the full
-	// product across transport ranks.
-	gather engine.Gatherer
-}
-
-// newRelaxState prepares `remaining` relaxation products of s against
-// the indicator columns of the given sources in s's semiring: One at
-// the source (0 over (min,+), InfWidth over (max,min)), Zero
-// elsewhere.
-func newRelaxState(s *matmul.Matrix, sources []core.NodeID, remaining int) *relaxState {
+// newRelaxChain prepares the per-source relaxation stage shared by the
+// exact and approximate k-source pipelines: `products` delta products
+// B_{t+1} = S ⊗ B_t over a fixed matrix S (see matmul.Chain), starting
+// from the indicator columns of the given sources in S's semiring: One
+// at the source (0 over (min,+), InfWidth over (max,min)), Zero
+// elsewhere. KSourceKernel instantiates it with S = A^h and
+// ceil((n-1)/h) products for exactness; the approximate kernels with
+// S = the hopset-augmented adjacency and ceil(β) products. g is wired
+// into every pass so harvests assemble the full product across
+// transport ranks.
+func newRelaxChain(s *matmul.Matrix, sources []core.NodeID, products int, g engine.Gatherer) (*matmul.Chain, error) {
 	b := matmul.NewDense(s.N, len(sources), s.Sr)
 	for j, src := range sources {
 		b.Row(src)[j] = s.Sr.One
 	}
-	return &relaxState{s: s, cur: b, remaining: remaining}
-}
-
-// harvest folds the completed in-flight product (if any) into the
-// current columns, gathering it across transport ranks first.
-// Idempotent, so checkpointing can force it at a pass boundary before
-// the next call would.
-func (rs *relaxState) harvest() error {
-	if rs.pass == nil {
-		return nil
-	}
-	if err := rs.pass.Gather(); err != nil {
-		return err
-	}
-	rs.cur = rs.pass.Dense()
-	rs.pass = nil
-	rs.remaining--
-	return nil
-}
-
-// next harvests the pass returned by the previous call (if any) and
-// returns the next relaxation pass, or nil once all products have run.
-func (rs *relaxState) next() (*matmul.Pass, error) {
-	if err := rs.harvest(); err != nil {
-		return nil, err
-	}
-	if rs.remaining <= 0 {
-		return nil, nil
-	}
-	pass, err := matmul.NewDensePass(rs.s, rs.cur, false)
+	c, err := matmul.NewChain(s, b, products)
 	if err != nil {
 		return nil, err
 	}
-	pass.SetGatherer(rs.gather)
-	rs.pass = pass
-	return pass, nil
-}
-
-// hint forwards the in-flight product's round-bound hint.
-func (rs *relaxState) hint() int {
-	if rs.pass == nil {
-		return 0
-	}
-	return rs.pass.MaxRoundsHint()
+	c.SetGatherer(g)
+	return c, nil
 }
 
 // valueRows transposes the final n x k columns into per-source rows of
 // raw semiring values, no sentinel translation — the harvest for
 // pipelines whose semiring has a directly meaningful Zero (the
 // (max,min) width 0 means "unreachable" on its own).
-func (rs *relaxState) valueRows() [][]int64 {
-	k := rs.cur.K
-	rows := make([][]int64, k)
+func valueRows(d *matmul.Dense) [][]int64 {
+	rows := make([][]int64, d.K)
 	for j := range rows {
-		rows[j] = make([]int64, rs.cur.N)
+		rows[j] = make([]int64, d.N)
 	}
-	for v := 0; v < rs.cur.N; v++ {
-		row := rs.cur.Row(core.NodeID(v))
-		for j := 0; j < k; j++ {
-			rows[j][v] = row[j]
+	for v := 0; v < d.N; v++ {
+		for j, x := range d.Row(core.NodeID(v)) {
+			rows[j][v] = x
 		}
 	}
 	return rows
@@ -99,19 +48,12 @@ func (rs *relaxState) valueRows() [][]int64 {
 
 // distRows transposes the final n x k distance columns into per-source
 // rows with the Unreached sentinel.
-func (rs *relaxState) distRows() [][]int64 {
-	k := rs.cur.K
-	dist := make([][]int64, k)
-	for j := range dist {
-		dist[j] = make([]int64, rs.cur.N)
-	}
-	for v := 0; v < rs.cur.N; v++ {
-		row := rs.cur.Row(core.NodeID(v))
-		for j := 0; j < k; j++ {
-			if row[j] >= core.InfWeight {
-				dist[j][v] = Unreached
-			} else {
-				dist[j][v] = row[j]
+func distRows(d *matmul.Dense) [][]int64 {
+	dist := valueRows(d)
+	for _, row := range dist {
+		for v, x := range row {
+			if x >= core.InfWeight {
+				row[v] = Unreached
 			}
 		}
 	}

@@ -21,6 +21,9 @@ import (
 // and every later (1+ε)-approximate query pays zero stage-1 rounds
 // while returning bit-identical distances to a full pipeline run.
 //
+// S must be reflexive (every diagonal entry One, as the matrices of
+// matmul.FromGraph(..., true) and hopset.Augment are): the products run
+// as the delta products of a matmul.Chain, which rejects any other S.
 // The kernel runs on any session of size S.N (graph-bound or
 // clique.NewSize); the session graph is ignored.
 type RelaxKernel struct {
@@ -28,7 +31,7 @@ type RelaxKernel struct {
 	sources  []core.NodeID
 	products int
 
-	rx     *relaxState
+	rx     *matmul.Chain
 	done   bool
 	dist   [][]int64
 	gather engine.Gatherer
@@ -47,9 +50,7 @@ func NewRelaxKernel(s *matmul.Matrix, sources []core.NodeID, products int) *Rela
 // hook).
 func (k *RelaxKernel) SetGatherer(g engine.Gatherer) {
 	k.gather = g
-	if k.rx != nil {
-		k.rx.gather = g
-	}
+	k.rx.SetGatherer(g)
 }
 
 // Name identifies the kernel.
@@ -65,36 +66,28 @@ func (k *RelaxKernel) Nodes(*graph.CSR) ([]engine.Node, error) {
 		if k.s == nil {
 			return nil, fmt.Errorf("algo: %s kernel requires a matrix", k.Name())
 		}
-		if k.products < 0 {
-			return nil, fmt.Errorf("algo: %s product count %d must be >= 0", k.Name(), k.products)
-		}
 		for _, src := range k.sources {
 			if src < 0 || int(src) >= k.s.N {
 				return nil, fmt.Errorf("algo: %s source %d out of range [0,%d)", k.Name(), src, k.s.N)
 			}
 		}
-		k.rx = newRelaxState(k.s, k.sources, k.products)
-		k.rx.gather = k.gather
+		rx, err := newRelaxChain(k.s, k.sources, k.products, k.gather)
+		if err != nil {
+			return nil, err
+		}
+		k.rx = rx
 	}
-	pass, err := k.rx.next()
-	if err != nil {
-		return nil, err
+	nodes, err := k.rx.Next()
+	if err != nil || nodes != nil {
+		return nodes, err
 	}
-	if pass != nil {
-		return pass.Nodes(), nil
-	}
-	k.dist = k.rx.distRows()
+	k.dist = distRows(k.rx.Cur())
 	k.done = true
 	return nil, nil
 }
 
 // MaxRoundsHint forwards the in-flight product's round-bound hint.
-func (k *RelaxKernel) MaxRoundsHint() int {
-	if k.rx == nil {
-		return 0
-	}
-	return k.rx.hint()
-}
+func (k *RelaxKernel) MaxRoundsHint() int { return k.rx.MaxRoundsHint() }
 
 // Result returns the distance rows ([][]int64, dist[j][v] = the
 // relaxed distance from sources[j] to v, Unreached when the product

@@ -74,6 +74,10 @@ func TestRelaxKernelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noDiag, err := matmul.FromGraph(graph.Path(4).WithUnitWeights(), core.MinPlus(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		k    *RelaxKernel
@@ -82,6 +86,7 @@ func TestRelaxKernelValidation(t *testing.T) {
 		{"nil-matrix", NewRelaxKernel(nil, nil, 1), "requires a matrix"},
 		{"negative-products", NewRelaxKernel(m, nil, -1), "must be >= 0"},
 		{"bad-source", NewRelaxKernel(m, []core.NodeID{9}, 1), "out of range"},
+		{"non-reflexive", NewRelaxKernel(noDiag, []core.NodeID{0}, 1), "diagonal"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := clique.NewSize(4)

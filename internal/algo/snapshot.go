@@ -21,8 +21,10 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// kernelStateVersion stamps every algo kernel state blob.
-const kernelStateVersion uint64 = 1
+// kernelStateVersion stamps every algo kernel state blob. Version 2
+// encodes the relaxation stage as a matmul.Chain, previous columns
+// included.
+const kernelStateVersion uint64 = 2
 
 // checkStateVersion reads and checks the leading version word.
 func checkStateVersion(cr *ckptio.Reader) error {
@@ -64,36 +66,6 @@ func readPowerState(r *ckptio.Reader) (*powerState, error) {
 		return nil, err
 	}
 	return ps, r.Err()
-}
-
-// writeRelaxState encodes a (possibly nil) relaxation cursor. The
-// caller must have harvested any in-flight pass.
-func writeRelaxState(w *ckptio.Writer, rs *relaxState) {
-	if rs == nil {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	matmul.WriteMatrix(w, rs.s)
-	matmul.WriteDense(w, rs.cur)
-	w.I64(int64(rs.remaining))
-}
-
-// readRelaxState decodes a cursor written by writeRelaxState.
-func readRelaxState(r *ckptio.Reader) (*relaxState, error) {
-	if !r.Bool() {
-		return nil, r.Err()
-	}
-	rs := &relaxState{}
-	var err error
-	if rs.s, err = matmul.ReadMatrix(r); err != nil {
-		return nil, err
-	}
-	if rs.cur, err = matmul.ReadDense(r); err != nil {
-		return nil, err
-	}
-	rs.remaining = int(r.I64())
-	return rs, r.Err()
 }
 
 // SnapshotState serializes the repeated-squaring state: the current
@@ -198,10 +170,8 @@ func (k *KSourceKernel) SnapshotState(w io.Writer) error {
 			return err
 		}
 	}
-	if k.rx != nil {
-		if err := k.rx.harvest(); err != nil {
-			return err
-		}
+	if err := k.rx.Harvest(); err != nil {
+		return err
 	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
@@ -211,7 +181,7 @@ func (k *KSourceKernel) SnapshotState(w io.Writer) error {
 	cw.I64(int64(k.remaining))
 	cw.NodeIDs(k.sources)
 	writePowerState(cw, k.ps)
-	writeRelaxState(cw, k.rx)
+	matmul.WriteChain(cw, k.rx)
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -236,7 +206,7 @@ func (k *KSourceKernel) RestoreState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	rx, err := readRelaxState(cr)
+	rx, err := matmul.ReadChain(cr)
 	if err != nil {
 		return err
 	}
@@ -251,11 +221,9 @@ func (k *KSourceKernel) RestoreState(r io.Reader) error {
 	if k.ps != nil {
 		k.ps.gather = k.gather
 	}
-	if k.rx != nil {
-		k.rx.gather = k.gather
-	}
+	k.rx.SetGatherer(k.gather)
 	if stage == 3 && rx != nil {
-		k.dist = rx.distRows()
+		k.dist = distRows(rx.Cur())
 	}
 	return nil
 }
@@ -264,10 +232,8 @@ func (k *KSourceKernel) RestoreState(r io.Reader) error {
 // cursor, the embedded hopset construction (stage 1) or the
 // constructed hopset plus relaxation cursor (stages 2-3).
 func (k *ApproxKSourceKernel) SnapshotState(w io.Writer) error {
-	if k.rx != nil {
-		if err := k.rx.harvest(); err != nil {
-			return err
-		}
+	if err := k.rx.Harvest(); err != nil {
+		return err
 	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
@@ -286,7 +252,7 @@ func (k *ApproxKSourceKernel) SnapshotState(w io.Writer) error {
 		cw.Blob(nil)
 	}
 	hopset.WriteHopset(cw, k.hs)
-	writeRelaxState(cw, k.rx)
+	matmul.WriteChain(cw, k.rx)
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -313,7 +279,7 @@ func (k *ApproxKSourceKernel) RestoreState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	rx, err := readRelaxState(cr)
+	rx, err := matmul.ReadChain(cr)
 	if err != nil {
 		return err
 	}
@@ -338,11 +304,9 @@ func (k *ApproxKSourceKernel) RestoreState(r io.Reader) error {
 	if k.ck != nil {
 		k.ck.SetGatherer(k.gather)
 	}
-	if k.rx != nil {
-		k.rx.gather = k.gather
-	}
+	k.rx.SetGatherer(k.gather)
 	if stage == 3 && rx != nil {
-		k.dist = rx.distRows()
+		k.dist = distRows(rx.Cur())
 	}
 	return nil
 }
@@ -449,10 +413,8 @@ func (k *WidestKSourceKernel) SnapshotState(w io.Writer) error {
 			return err
 		}
 	}
-	if k.rx != nil {
-		if err := k.rx.harvest(); err != nil {
-			return err
-		}
+	if err := k.rx.Harvest(); err != nil {
+		return err
 	}
 	cw := ckptio.NewWriter(w)
 	cw.U64(kernelStateVersion)
@@ -462,7 +424,7 @@ func (k *WidestKSourceKernel) SnapshotState(w io.Writer) error {
 	cw.I64(int64(k.remaining))
 	cw.NodeIDs(k.sources)
 	writePowerState(cw, k.ps)
-	writeRelaxState(cw, k.rx)
+	matmul.WriteChain(cw, k.rx)
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -487,7 +449,7 @@ func (k *WidestKSourceKernel) RestoreState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	rx, err := readRelaxState(cr)
+	rx, err := matmul.ReadChain(cr)
 	if err != nil {
 		return err
 	}
@@ -502,11 +464,9 @@ func (k *WidestKSourceKernel) RestoreState(r io.Reader) error {
 	if k.ps != nil {
 		k.ps.gather = k.gather
 	}
-	if k.rx != nil {
-		k.rx.gather = k.gather
-	}
+	k.rx.SetGatherer(k.gather)
 	if stage == 3 && rx != nil {
-		k.width = rx.valueRows()
+		k.width = valueRows(rx.Cur())
 	}
 	return nil
 }

@@ -166,7 +166,7 @@ type WidestKSourceKernel struct {
 
 	stage     int // 0: unstarted, 1: powering, 2: relaxing, 3: done
 	ps        *powerState
-	rx        *relaxState
+	rx        *matmul.Chain
 	remaining int
 	n         int
 	width     [][]int64
@@ -180,9 +180,7 @@ func (k *WidestKSourceKernel) SetGatherer(g engine.Gatherer) {
 	if k.ps != nil {
 		k.ps.gather = g
 	}
-	if k.rx != nil {
-		k.rx.gather = g
-	}
+	k.rx.SetGatherer(g)
 }
 
 // NewWidestKSourceKernel returns a k-source widest-path kernel for the
@@ -210,20 +208,18 @@ func (k *WidestKSourceKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		if pass != nil {
 			return pass.Nodes(), nil
 		}
-		k.rx = newRelaxState(k.ps.matrix(), k.sources, k.remaining)
-		k.rx.gather = k.gather
+		if k.rx, err = newRelaxChain(k.ps.matrix(), k.sources, k.remaining, k.gather); err != nil {
+			return nil, err
+		}
 		k.ps = nil
 		k.stage = 2
 	}
 	if k.stage == 2 {
-		pass, err := k.rx.next()
-		if err != nil {
-			return nil, err
+		nodes, err := k.rx.Next()
+		if err != nil || nodes != nil {
+			return nodes, err
 		}
-		if pass != nil {
-			return pass.Nodes(), nil
-		}
-		k.width = k.rx.valueRows()
+		k.width = valueRows(k.rx.Cur())
 		k.stage = 3
 	}
 	return nil, nil
@@ -268,10 +264,7 @@ func (k *WidestKSourceKernel) MaxRoundsHint() int {
 	if k.ps != nil {
 		return k.ps.hint()
 	}
-	if k.rx != nil {
-		return k.rx.hint()
-	}
-	return 0
+	return k.rx.MaxRoundsHint()
 }
 
 // Result returns the width rows ([][]int64, width[j][v] = the widest-

@@ -126,6 +126,11 @@ func TestSemiringAxioms(t *testing.T) {
 				if got := sr.Mul(a, sr.Zero); got != sr.Zero {
 					t.Errorf("Mul(%d, Zero) = %d, want Zero", a, got)
 				}
+				// Idempotence: the delta products of matmul.Chain
+				// re-fold terms the accumulator already holds.
+				if got := sr.Add(a, a); got != a {
+					t.Errorf("Add(%d, %d) = %d, want %d (idempotence)", a, a, got, a)
+				}
 				for _, b := range vals {
 					if sr.Add(a, b) != sr.Add(b, a) {
 						t.Errorf("Add not commutative on (%d,%d)", a, b)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -163,6 +164,28 @@ func TestCrashResumeEquivalence(t *testing.T) {
 				t.Errorf("resumed accounting differs: got %+v, want %+v", st, refStats)
 			}
 		})
+	}
+}
+
+// TestOldKernelStateVersionRejected: kernel state blobs of version 1
+// predate the delta product chain (they carry no previous columns), so
+// every Checkpointable kernel refuses them with the version error
+// instead of resuming from incomplete state.
+func TestOldKernelStateVersionRejected(t *testing.T) {
+	g := testGraph()
+	var blob bytes.Buffer
+	w := ckptio.NewWriter(&blob)
+	w.U64(1)
+	w.SumTrailer()
+	for _, name := range checkpointableKernels(t, g) {
+		k, err := clique.NewKernel(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = k.(clique.Checkpointable).RestoreState(bytes.NewReader(blob.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "state version 1") {
+			t.Errorf("%s: RestoreState(version 1) = %v, want the version error", name, err)
+		}
 	}
 }
 

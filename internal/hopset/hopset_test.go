@@ -126,6 +126,42 @@ func TestConstructMatchesRef(t *testing.T) {
 	}
 }
 
+// TestConstructMatchesRefHighDiameter runs the construction on paths
+// and grids, where hub distances keep improving until the last
+// products: the delta products must still agree bit for bit with the
+// sequential oracle's full products.
+func TestConstructMatchesRefHighDiameter(t *testing.T) {
+	cases := []struct {
+		name   string
+		g      *graph.CSR
+		params Params
+	}{
+		{"path-all-hubs", graph.Path(48).WithUniformRandomWeights(3, 20), Params{Eps: 0.25, HubRate: 1}},
+		{"path-sampled", graph.Path(64).WithUniformRandomWeights(4, 9), Params{HubRate: 0.3, Seed: 5}},
+		{"path-short-beta", graph.Path(30).WithUniformRandomWeights(5, 7), Params{Beta: 3, Eps: 0.1}},
+		{"grid", graph.Grid(6, 9).WithUniformRandomWeights(6, 15), Params{Eps: 0.5, HubRate: 0.5, Seed: 2}},
+		{"grid-unweighted", graph.Grid(7, 7), Params{HubRate: 1}},
+	}
+	for _, tc := range cases {
+		want, err := ConstructRef(tc.g, tc.params)
+		if err != nil {
+			t.Fatalf("%s: ConstructRef: %v", tc.name, err)
+		}
+		got, stats, err := Construct(tc.g, tc.params, engine.Options{})
+		if err != nil {
+			t.Fatalf("%s: Construct: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got.Hubs, want.Hubs) || !matEqual(got.Shortcuts, want.Shortcuts) || !matEqual(got.Base, want.Base) {
+			t.Fatalf("%s: distributed hopset differs from ConstructRef", tc.name)
+		}
+		// Every product still moves a hub column one hop further, so
+		// no pass degenerates to the 2-round quiet pass.
+		if min := 3 * want.Beta; stats.Rounds < min {
+			t.Fatalf("%s: %d rounds for %d products, want >= %d (deltas stay non-empty)", tc.name, stats.Rounds, want.Beta, min)
+		}
+	}
+}
+
 // TestHopsetProperty verifies the defining (β, ε) guarantee end to
 // end: β-hop-limited distances over the augmented matrix bracket the
 // true distances, d* <= d^(β)_{G∪H} <= (1+ε)·d*, on random weighted

@@ -15,27 +15,28 @@ import (
 // hub set locally (both deterministic given Params), it runs β
 // sparse-dense (min,+) products on the session engine — one engine
 // pass per hop, each product advancing every hub's distance column by
-// one hop — and harvests the shortcut star from the final columns.
-// It is the stage the approximate shortest-path kernels in
-// internal/algo embed as their stage 1; run standalone (registry name
-// "hopset") its Result is the *Hopset.
+// one hop, as the delta products of a matmul.Chain — and harvests the
+// shortcut star from the final columns. It is the stage the
+// approximate shortest-path kernels in internal/algo embed as their
+// stage 1; run standalone (registry name "hopset") its Result is the
+// *Hopset.
 type ConstructKernel struct {
 	params Params
 
-	stage     int // 0: unstarted, 1: products, 2: done
-	base      *matmul.Matrix
-	hubs      []core.NodeID
-	cur       *matmul.Dense
-	pass      *matmul.Pass
-	remaining int
-	hs        *Hopset
-	gather    engine.Gatherer
+	stage  int // 0: unstarted, 1: products, 2: done
+	hubs   []core.NodeID
+	chain  *matmul.Chain // over the rounded base adjacency
+	hs     *Hopset
+	gather engine.Gatherer
 }
 
 // SetGatherer injects the session transport's all-gather so every
 // product harvest assembles the full hub distance columns on every
 // rank (clique TransportAware hook).
-func (k *ConstructKernel) SetGatherer(g engine.Gatherer) { k.gather = g }
+func (k *ConstructKernel) SetGatherer(g engine.Gatherer) {
+	k.gather = g
+	k.chain.SetGatherer(g)
+}
 
 // NewConstructKernel returns a hopset construction kernel with the
 // given parameters (zero-value fields select the defaults; see
@@ -58,19 +59,11 @@ func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 		}
 	}
 	if k.stage == 1 {
-		if err := k.harvest(); err != nil {
-			return nil, err
+		nodes, err := k.chain.Next()
+		if err != nil || nodes != nil {
+			return nodes, err
 		}
-		if k.remaining > 0 {
-			pass, err := matmul.NewDensePass(k.base, k.cur, false)
-			if err != nil {
-				return nil, err
-			}
-			pass.SetGatherer(k.gather)
-			k.pass = pass
-			return pass.Nodes(), nil
-		}
-		hs, err := assemble(k.params, k.hubs, k.base, k.cur)
+		hs, err := assemble(k.params, k.hubs, k.chain.Matrix(), k.chain.Cur())
 		if err != nil {
 			return nil, err
 		}
@@ -80,23 +73,7 @@ func (k *ConstructKernel) Nodes(g *graph.CSR) ([]engine.Node, error) {
 	return nil, nil
 }
 
-// harvest folds the completed in-flight product (if any) into the hub
-// distance columns, gathering it across transport ranks first.
-// Idempotent, so checkpointing can force it at a pass boundary.
-func (k *ConstructKernel) harvest() error {
-	if k.pass == nil {
-		return nil
-	}
-	if err := k.pass.Gather(); err != nil {
-		return err
-	}
-	k.cur = k.pass.Dense()
-	k.pass = nil
-	k.remaining--
-	return nil
-}
-
-// start validates the inputs and prepares the product loop.
+// start validates the inputs and prepares the product chain.
 func (k *ConstructKernel) start(g *graph.CSR) error {
 	if g == nil {
 		return fmt.Errorf("hopset: %s kernel requires a graph-bound session (clique.New, not NewSize)", k.Name())
@@ -106,16 +83,20 @@ func (k *ConstructKernel) start(g *graph.CSR) error {
 		return err
 	}
 	k.params = p
-	if k.base, err = roundedBase(g, p.Eps); err != nil {
+	base, err := roundedBase(g, p.Eps)
+	if err != nil {
 		return err
 	}
 	k.hubs = sampleHubs(g.N, p.HubRate, p.Seed)
-	k.cur = hubIndicator(g.N, k.hubs)
-	k.remaining = p.Beta
+	products := p.Beta
 	if len(k.hubs) == 0 {
 		// No hubs, no products: the hopset is (validly) empty.
-		k.remaining = 0
+		products = 0
 	}
+	if k.chain, err = matmul.NewChain(base, hubIndicator(g.N, k.hubs), products); err != nil {
+		return err
+	}
+	k.chain.SetGatherer(k.gather)
 	k.stage = 1
 	return nil
 }
@@ -123,12 +104,7 @@ func (k *ConstructKernel) start(g *graph.CSR) error {
 // MaxRoundsHint forwards the in-flight product's round-bound hint —
 // essential here, because a hub-distance column matrix with K hubs
 // packs up to K words per row.
-func (k *ConstructKernel) MaxRoundsHint() int {
-	if k.pass == nil {
-		return 0
-	}
-	return k.pass.MaxRoundsHint()
-}
+func (k *ConstructKernel) MaxRoundsHint() int { return k.chain.MaxRoundsHint() }
 
 // Result returns the constructed hopset (*Hopset), nil before
 // completion.

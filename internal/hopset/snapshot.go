@@ -1,11 +1,12 @@
 // Checkpoint serialization for the hopset construction kernel and its
 // products. ConstructKernel implements clique.Checkpointable: its
-// inter-pass state is the resolved Params, the sampled hub list, the
-// rounded base adjacency, the current hub distance columns, and the
-// remaining product count — all plain data once the in-flight pass has
-// been harvested at a pass boundary. The finished *Hopset itself is
-// never serialized by the kernel: the done state re-runs assemble on
-// restore, which is deterministic given the serialized fields.
+// inter-pass state is the resolved Params, the sampled hub list, and
+// the product chain (the rounded base adjacency, the current and
+// previous hub distance columns, and the remaining product count) —
+// all plain data once the in-flight pass has been harvested at a pass
+// boundary. The finished *Hopset itself is never serialized by the
+// kernel: the done state re-runs assemble on restore, which is
+// deterministic given the serialized fields.
 package hopset
 
 import (
@@ -17,8 +18,10 @@ import (
 	"github.com/paper-repo-growth/doryp20/internal/matmul"
 )
 
-// kernelStateVersion stamps the ConstructKernel state blob.
-const kernelStateVersion uint64 = 1
+// kernelStateVersion stamps the ConstructKernel state blob. Version 2
+// carries the product chain with its previous columns, which the delta
+// products need.
+const kernelStateVersion uint64 = 2
 
 // WriteParams encodes p to the ckptio writer — shared with the
 // approximate shortest-path kernels in internal/algo, whose state
@@ -78,7 +81,7 @@ func ReadHopset(r *ckptio.Reader) (*Hopset, error) {
 // at pass boundaries only (clique.Checkpointable); the in-flight
 // product, if any, is harvested first.
 func (k *ConstructKernel) SnapshotState(w io.Writer) error {
-	if err := k.harvest(); err != nil {
+	if err := k.chain.Harvest(); err != nil {
 		return err
 	}
 	cw := ckptio.NewWriter(w)
@@ -86,9 +89,7 @@ func (k *ConstructKernel) SnapshotState(w io.Writer) error {
 	cw.I64(int64(k.stage))
 	WriteParams(cw, k.params)
 	cw.NodeIDs(k.hubs)
-	matmul.WriteMatrix(cw, k.base)
-	matmul.WriteDense(cw, k.cur)
-	cw.I64(int64(k.remaining))
+	matmul.WriteChain(cw, k.chain)
 	cw.SumTrailer()
 	return cw.Err()
 }
@@ -108,15 +109,10 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 	stage := int(cr.I64())
 	params := ReadParams(cr)
 	hubs := cr.NodeIDs()
-	base, err := matmul.ReadMatrix(cr)
+	chain, err := matmul.ReadChain(cr)
 	if err != nil {
 		return err
 	}
-	cur, err := matmul.ReadDense(cr)
-	if err != nil {
-		return err
-	}
-	remaining := int(cr.I64())
 	cr.VerifySumTrailer()
 	if err := cr.Err(); err != nil {
 		return err
@@ -124,9 +120,16 @@ func (k *ConstructKernel) RestoreState(r io.Reader) error {
 	if stage < 1 || stage > 2 {
 		return fmt.Errorf("hopset: kernel state has implausible stage %d", stage)
 	}
-	k.stage, k.params, k.hubs, k.base, k.cur, k.remaining = stage, params, hubs, base, cur, remaining
+	if chain == nil {
+		return fmt.Errorf("hopset: kernel state has no product chain")
+	}
+	if len(hubs) != chain.Cur().K {
+		return fmt.Errorf("hopset: kernel state has %d hubs for %d distance columns", len(hubs), chain.Cur().K)
+	}
+	chain.SetGatherer(k.gather)
+	k.stage, k.params, k.hubs, k.chain = stage, params, hubs, chain
 	if stage == 2 {
-		hs, err := assemble(params, hubs, base, cur)
+		hs, err := assemble(params, hubs, chain.Matrix(), chain.Cur())
 		if err != nil {
 			return err
 		}

@@ -18,6 +18,11 @@
 //     engine.Stats expose exactly how many rounds and messages the
 //     model charged.
 //
+// Chain iterates B_{t+1} = S ⊗ B_t over a fixed reflexive S as delta
+// products that stream only the entries changed by the previous
+// product (see chain.go); the hopset construction and every k-source
+// relaxation stage run on it.
+//
 // On top of it, internal/algo builds APSP by repeated squaring and
 // hop-limited distances — the substrate for the paper's hopset
 // construction.

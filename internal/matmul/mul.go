@@ -73,7 +73,11 @@ func (wf wireFormat) checkPackable(vals []int64, zero int64, what string) error 
 
 // mulNode executes one node's share of a distributed product C = A ⊗ B.
 // Node v owns row v of A, row v of B (pre-packed into wire words), and
-// accumulates row v of C. The protocol is globally phased:
+// accumulates row v of C. In the delta products of a Chain, the packed
+// row holds only the entries of B[v] that changed in the previous
+// product, and the accumulator starts from B[v] instead of Zero (see
+// Chain for why the product is unchanged). The protocol is globally
+// phased:
 //
 //	round 0:    v sends one request word to every k in supp(A[v]),
 //	            k != v, and folds in the local k = v contribution.
@@ -233,7 +237,7 @@ func NewPass(a, b *Matrix, unpaced bool) (*Pass, error) {
 	if err := wf.checkPackable(b.Vals, b.Sr.Zero, "matrix"); err != nil {
 		return nil, err
 	}
-	return newPass(a, packRows(b, wf), a.N, wf, unpaced), nil
+	return newPass(a, packRows(b, wf), a.N, wf, unpaced, nil), nil
 }
 
 // NewDensePass validates and packs the sparse-dense product A ⊗ B with
@@ -246,24 +250,14 @@ func NewDensePass(a *Matrix, b *Dense, unpaced bool) (*Pass, error) {
 	if err := wf.checkPackable(b.Vals, b.Sr.Zero, "dense"); err != nil {
 		return nil, err
 	}
-	packed := make([][]uint64, b.N)
-	for v := 0; v < b.N; v++ {
-		row := b.Row(core.NodeID(v))
-		words := make([]uint64, 0, len(row))
-		for j, val := range row {
-			if val == b.Sr.Zero {
-				continue
-			}
-			words = append(words, wf.pack(j, val))
-		}
-		packed[v] = words
-	}
-	return newPass(a, packed, b.K, wf, unpaced), nil
+	return newPass(a, packDenseRows(b, nil, wf), b.K, wf, unpaced, nil), nil
 }
 
 // newPass wires n mulNodes (node v holding packed B-row packed[v] and a
-// cols-wide accumulator) over a flat n*cols result slab.
-func newPass(a *Matrix, packed [][]uint64, cols int, wf wireFormat, unpaced bool) *Pass {
+// cols-wide accumulator) over a flat n*cols result slab. The slab
+// starts as a copy of init when it is non-nil (the delta products of a
+// Chain), and as all-Zero otherwise.
+func newPass(a *Matrix, packed [][]uint64, cols int, wf wireFormat, unpaced bool, init []int64) *Pass {
 	n := a.N
 	p := &Pass{
 		n:    n,
@@ -277,7 +271,10 @@ func newPass(a *Matrix, packed [][]uint64, cols int, wf wireFormat, unpaced bool
 			p.maxRow = len(row)
 		}
 	}
-	if a.Sr.Zero != 0 {
+	switch {
+	case init != nil:
+		copy(p.flat, init)
+	case a.Sr.Zero != 0:
 		for i := range p.flat {
 			p.flat[i] = a.Sr.Zero
 		}
@@ -341,6 +338,36 @@ func packRows(b *Matrix, wf wireFormat) [][]uint64 {
 			row[i] = wf.pack(int(j), vals[i])
 		}
 		packed[v] = row
+	}
+	return packed
+}
+
+// packDenseRows converts each row of b into wire words, skipping Zero
+// entries and, when prev is non-nil, every entry equal to prev's: the
+// changed entries a delta product streams. All rows share one backing
+// slab.
+func packDenseRows(b, prev *Dense, wf wireFormat) [][]uint64 {
+	packed := make([][]uint64, b.N)
+	var words []uint64
+	ends := make([]int, b.N)
+	for v := 0; v < b.N; v++ {
+		row := b.Row(core.NodeID(v))
+		var old []int64
+		if prev != nil {
+			old = prev.Row(core.NodeID(v))
+		}
+		for j, val := range row {
+			if val == b.Sr.Zero || (old != nil && old[j] == val) {
+				continue
+			}
+			words = append(words, wf.pack(j, val))
+		}
+		ends[v] = len(words)
+	}
+	start := 0
+	for v, end := range ends {
+		packed[v] = words[start:end:end]
+		start = end
 	}
 	return packed
 }
